@@ -58,7 +58,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::detector::Detector;
 use crate::journal::{decode_outcome, json_str, outcome_json, parse_json, Json};
@@ -113,9 +113,14 @@ struct Entry {
 // ---------------------------------------------------------------------------
 // SHA-256 (FIPS 180-4), hand-rolled over std only.
 //
-// The workspace deliberately has no external crypto dependency; 70 lines
-// of the reference compression function beat pulling one in. Correctness
-// is pinned by the FIPS test vectors in this module's tests.
+// The workspace deliberately has no external crypto dependency. Two
+// compression kernels share one padding frame: the portable reference
+// function below, and, on x86-64 CPUs with the SHA extensions, a kernel
+// built on std's `sha256rnds2`/`sha256msg1`/`sha256msg2` intrinsics
+// (several times faster). The CPU is probed once per process. Both
+// kernels produce identical digests — pinned by the FIPS vectors and a
+// kernel-vs-kernel oracle in this module's tests — so cache keys and
+// persisted segments never depend on which one ran.
 // ---------------------------------------------------------------------------
 
 const SHA256_K: [u32; 64] = [
@@ -129,30 +134,42 @@ const SHA256_K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-/// SHA-256 of `bytes`.
+/// A compression kernel: folds every whole 64-byte block of the slice
+/// into the state (a trailing partial block is the caller's to pad).
+type Kernel = fn(&mut [u32; 8], &[u8]);
+
+/// SHA-256 of `bytes`, on the fastest kernel this CPU supports.
 pub fn sha256(bytes: &[u8]) -> ContentDigest {
+    static KERNEL: OnceLock<Kernel> = OnceLock::new();
+    let kernel = *KERNEL.get_or_init(|| hardware_kernel().unwrap_or(portable_kernel));
+    sha256_with(bytes, kernel)
+}
+
+/// [`sha256`] timed into the `cache.digest_ns` stage. Every engine's
+/// cache digest goes through here; the stage is histogram-side, so the
+/// deterministic counters are unaffected.
+pub(crate) fn digest(bytes: &[u8], metrics: &MetricsSink) -> ContentDigest {
+    let _timer = metrics.time(Stage::CacheDigestNs);
+    sha256(bytes)
+}
+
+fn sha256_with(bytes: &[u8], compress: Kernel) -> ContentDigest {
     let mut state: [u32; 8] = [
         0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
         0x5be0cd19,
     ];
+    let whole = bytes.len() - bytes.len() % 64;
+    compress(&mut state, &bytes[..whole]);
+    // Padding: 0x80, zeros, 64-bit big-endian bit length — one block, or
+    // two when the tail leaves no room for the length.
+    let rest = &bytes[whole..];
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let end = if rest.len() + 1 + 8 > 64 { 128 } else { 64 };
     let bit_len = (bytes.len() as u64).wrapping_mul(8);
-    let mut block = [0u8; 64];
-    let mut chunks = bytes.chunks_exact(64);
-    for chunk in &mut chunks {
-        block.copy_from_slice(chunk);
-        sha256_compress(&mut state, &block);
-    }
-    // Padding: 0x80, zeros, 64-bit big-endian bit length.
-    let rest = chunks.remainder();
-    block[..rest.len()].copy_from_slice(rest);
-    block[rest.len()] = 0x80;
-    block[rest.len() + 1..].fill(0);
-    if rest.len() + 1 + 8 > 64 {
-        sha256_compress(&mut state, &block);
-        block.fill(0);
-    }
-    block[56..].copy_from_slice(&bit_len.to_be_bytes());
-    sha256_compress(&mut state, &block);
+    tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+    compress(&mut state, &tail[..end]);
     let mut out = [0u8; 32];
     for (i, word) in state.iter().enumerate() {
         out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -160,6 +177,27 @@ pub fn sha256(bytes: &[u8]) -> ContentDigest {
     out
 }
 
+fn portable_kernel(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        sha256_compress(state, block.try_into().expect("64-byte chunk"));
+    }
+}
+
+/// The SHA-extensions kernel, when this CPU has everything it enables.
+fn hardware_kernel() -> Option<Kernel> {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("sse4.1")
+        && is_x86_feature_detected!("ssse3")
+    {
+        // SAFETY: the CPU supports every feature `shani::compress` enables.
+        return Some(|state, blocks| unsafe { shani::compress(state, blocks) });
+    }
+    None
+}
+
+/// The reference compression function: the portable kernel, and the
+/// oracle the hardware kernel is tested against.
 fn sha256_compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, word) in w.iter_mut().take(16).enumerate() {
@@ -196,6 +234,72 @@ fn sha256_compress(state: &mut [u32; 8], block: &[u8; 64]) {
     }
     for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
         *s = s.wrapping_add(v);
+    }
+}
+
+/// SHA-256 on the x86 SHA extensions. The instructions keep the working
+/// state as two lane pairs, ABEF and CDGH, and run two rounds per
+/// `sha256rnds2`; `sha256msg1`/`sha256msg2` extend the message schedule
+/// four words at a time.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use std::arch::x86_64::*;
+
+    use super::SHA256_K;
+
+    /// Folds every whole 64-byte block of `blocks` into `state`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `sse4.1` and `ssse3`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        // Every unaligned load and store stays inside its array: the state
+        // is two 16-byte halves, each block four, and quad `q` reads
+        // `SHA256_K[4q..4q + 4]` with `q < 16`.
+        //
+        // Byte-swaps each 32-bit lane: message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let words = block.as_ptr().cast::<__m128i>();
+            let mut w = [
+                _mm_shuffle_epi8(_mm_loadu_si128(words), bswap),
+                _mm_shuffle_epi8(_mm_loadu_si128(words.add(1)), bswap),
+                _mm_shuffle_epi8(_mm_loadu_si128(words.add(2)), bswap),
+                _mm_shuffle_epi8(_mm_loadu_si128(words.add(3)), bswap),
+            ];
+            // Sixteen quads of four rounds; from the fifth on, each quad's
+            // schedule words overwrite the oldest of the four held.
+            for quad in 0..16 {
+                let i = quad % 4;
+                if quad >= 4 {
+                    let (w1, w2, w3) = (w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+                    let t =
+                        _mm_add_epi32(_mm_sha256msg1_epu32(w[i], w1), _mm_alignr_epi8(w3, w2, 4));
+                    w[i] = _mm_sha256msg2_epu32(t, w3);
+                }
+                let k = _mm_loadu_si128(SHA256_K.as_ptr().add(quad * 4).cast());
+                let wk = _mm_add_epi32(w[i], k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xf0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
     }
 }
 
@@ -721,9 +825,17 @@ pub(crate) struct BoundCache {
 impl BoundCache {
     /// Binds the policy's cache, if any.
     pub(crate) fn bind(detector: &Detector, policy: &ScanPolicy) -> Option<BoundCache> {
+        policy.cache.as_ref()?;
+        Self::bind_fingerprint(detector_fingerprint(detector), policy)
+    }
+
+    /// [`BoundCache::bind`] for a caller that already holds the
+    /// detector's fingerprint (the resident service keeps one per
+    /// generation), saving a second `save()` of the detector.
+    pub(crate) fn bind_fingerprint(detector_fp: u64, policy: &ScanPolicy) -> Option<BoundCache> {
         policy.cache.as_ref().map(|cache| BoundCache {
             cache: Arc::clone(cache),
-            detector_fp: detector_fingerprint(detector),
+            detector_fp,
             policy_fp: policy_fingerprint(policy),
         })
     }
@@ -767,7 +879,7 @@ impl BoundCache {
         max_file_size: u64,
         metrics: &MetricsSink,
     ) -> PathProbe {
-        let Some(digest) = digest_path_under_cap(path, max_file_size) else {
+        let Some(digest) = digest_path_under_cap(path, max_file_size, metrics) else {
             return PathProbe::Unreadable;
         };
         match self.lookup(digest, metrics) {
@@ -781,7 +893,11 @@ impl BoundCache {
 /// cache. `None` means the file is unreadable or over the cap — callers
 /// bypass caching entirely and let their normal scan path classify the
 /// trouble exactly as an uncached run would.
-pub(crate) fn digest_path_under_cap(path: &Path, max_file_size: u64) -> Option<ContentDigest> {
+pub(crate) fn digest_path_under_cap(
+    path: &Path,
+    max_file_size: u64,
+    metrics: &MetricsSink,
+) -> Option<ContentDigest> {
     let meta = fs::metadata(path).ok()?;
     if meta.len() > max_file_size {
         return None;
@@ -790,7 +906,7 @@ pub(crate) fn digest_path_under_cap(path: &Path, max_file_size: u64) -> Option<C
     if bytes.len() as u64 > max_file_size {
         return None;
     }
-    Some(sha256(&bytes))
+    Some(digest(&bytes, metrics))
 }
 
 /// Result of [`BoundCache::probe_path`].
@@ -863,39 +979,116 @@ mod tests {
         }])
     }
 
+    /// Every kernel this CPU can run, by name. The hardware kernel is
+    /// called directly, not through the dispatch, so both are checked on
+    /// every run that has SHA extensions.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("portable", portable_kernel)];
+        match hardware_kernel() {
+            Some(hardware) => kernels.push(("hardware", hardware)),
+            None => eprintln!("no SHA extensions on this CPU: checked the portable kernel only"),
+        }
+        kernels
+    }
+
     #[test]
     fn sha256_matches_fips_vectors() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        // 55/56/64-byte messages straddle the padding block boundary.
-        for (len, want) in [
+        let long = vec![b'a'; 1_000_000];
+        let mut vectors: Vec<(&[u8], &str)> = vec![
             (
-                55,
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &long,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        // 55/56/64-byte messages straddle the padding block boundary.
+        vectors.extend([
+            (
+                &long[..55],
                 "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
             ),
             (
-                56,
+                &long[..56],
                 "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
             ),
             (
-                64,
+                &long[..64],
                 "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
             ),
-        ] {
-            assert_eq!(hex(&sha256(&vec![b'a'; len])), want, "len={len}");
+        ]);
+        for (name, kernel) in kernels() {
+            for &(message, want) in &vectors {
+                let len = message.len();
+                assert_eq!(hex(&sha256_with(message, kernel)), want, "{name} len={len}");
+            }
         }
+        for &(message, want) in &vectors {
+            assert_eq!(
+                hex(&sha256(message)),
+                want,
+                "dispatch len={}",
+                message.len()
+            );
+        }
+    }
+
+    #[test]
+    fn hardware_kernel_matches_the_portable_oracle() {
+        let Some(hardware) = hardware_kernel() else {
+            eprintln!("no SHA extensions on this CPU: checked the portable kernel only");
+            return;
+        };
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let buf: Vec<u8> = (0..5 << 20)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect();
+        // Every length across the one- and two-block padding cases, at
+        // every alignment the unaligned loads can meet.
+        for offset in 0..64 {
+            for len in 0..=1_100 {
+                let message = &buf[offset..offset + len];
+                assert_eq!(
+                    sha256_with(message, hardware),
+                    sha256_with(message, portable_kernel),
+                    "offset={offset} len={len}"
+                );
+            }
+        }
+        for len in [1 << 20, 5 << 20] {
+            assert_eq!(
+                sha256_with(&buf[..len], hardware),
+                sha256_with(&buf[..len], portable_kernel),
+                "len={len}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_committed_fixture_keeps_its_digest() {
+        // Persisted cache segments are keyed by these bytes' digest; the
+        // pin is `sha256sum tests/fixtures/rf_forest.txt`.
+        let fixture = include_bytes!("../../../../tests/fixtures/rf_forest.txt");
+        let want = "d4a3b27ad4dc511d9bda9560d6ca032489e55b753e2fcacbec66c7f30874b3ca";
+        for (name, kernel) in kernels() {
+            assert_eq!(hex(&sha256_with(fixture, kernel)), want, "{name}");
+        }
+        assert_eq!(hex(&sha256(fixture)), want);
     }
 
     #[test]

@@ -1303,7 +1303,8 @@ pub(crate) fn scan_bytes_cached_deltas(
     policy: &ScanPolicy,
     bound: &cache::BoundCache,
 ) -> (ScanOutcome, cache::Deltas) {
-    scan_bytes_cached_digest(detector, bytes, policy, bound, cache::sha256(bytes))
+    let digest = cache::digest(bytes, &policy.metrics);
+    scan_bytes_cached_digest(detector, bytes, policy, bound, digest)
 }
 
 /// [`scan_bytes_cached_deltas`] for callers that already digested the

@@ -84,8 +84,11 @@ pub struct ServeConfig {
     pub breaker_threshold: u32,
     /// Base cooldown of the breaker's exponential backoff.
     pub breaker_backoff: Duration,
-    /// Poll interval for the accept loop and the connection readers'
-    /// drain checks; bounds how stale a drain request can go unnoticed.
+    /// Poll interval of the latch watcher and the connection readers'
+    /// drain checks; bounds how long a drain or a SIGHUP-style reload can
+    /// go unnoticed. The accept loop itself never ticks: it blocks in
+    /// `accept` until a client arrives or the watcher wakes it for a
+    /// drain. Also the back-off after a failed accept.
     pub drain_poll: Duration,
     /// Model file a SIGHUP-style [`request_reload`] reloads from —
     /// normally the CLI's `--model` path, so operators overwrite the file
@@ -110,8 +113,9 @@ impl ServeConfig {
 }
 
 /// Process-global hot-reload latch, the SIGHUP analogue of
-/// [`interrupt::request_drain`]'s drain latch: the accept loop polls it
-/// once per tick and reloads from [`ServeConfig::reload_path`].
+/// [`interrupt::request_drain`]'s drain latch: the service's latch watcher
+/// polls it once per drain-poll tick and reloads from
+/// [`ServeConfig::reload_path`].
 static RELOAD_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 /// Requests a model hot-reload from the serving config's `reload_path`,
@@ -170,9 +174,7 @@ impl Listener {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
-        let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
-        Ok(Listener::Unix(listener))
+        Ok(Listener::Unix(UnixListener::bind(path)?))
     }
 
     /// Binds a TCP socket at `addr` (e.g. `127.0.0.1:7087`; port 0 picks
@@ -182,9 +184,7 @@ impl Listener {
     ///
     /// Any I/O error binding.
     pub fn bind_tcp(addr: &str) -> io::Result<Listener> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(Listener::Tcp(listener))
+        Ok(Listener::Tcp(TcpListener::bind(addr)?))
     }
 
     /// The bound TCP address, when this is a TCP listener.
@@ -196,25 +196,53 @@ impl Listener {
         }
     }
 
-    /// Non-blocking accept: `Ok(None)` means nobody is waiting.
-    fn accept(&self) -> io::Result<Option<Box<dyn Stream>>> {
+    /// Blocking accept. The `serve::accept-error` faultpoint injects a
+    /// failed accept (an EMFILE or ECONNABORTED stand-in).
+    fn accept(&self) -> io::Result<Box<dyn Stream>> {
+        if vbadet_faultpoint::fire("serve::accept-error").is_some() {
+            return Err(io::Error::other("injected accept error"));
+        }
         match self {
             #[cfg(unix)]
-            Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => Ok(Some(Box::new(s))),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => {
-                    // Request/response over small lines: Nagle + delayed
-                    // ACK would add ~40 ms to every round trip.
-                    let _ = s.set_nodelay(true);
-                    Ok(Some(Box::new(s)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
+            Listener::Unix(l) => Ok(Box::new(l.accept()?.0)),
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                // Request/response over small lines: Nagle + delayed ACK
+                // would add ~40 ms to every round trip.
+                let _ = s.set_nodelay(true);
+                Ok(Box::new(s))
+            }
+        }
+    }
+
+    /// Wakes an `accept` blocked on this listener, and fails every later
+    /// one, by shutting down the socket's read side: Linux then returns
+    /// EINVAL from `accept` on Unix and TCP listeners alike, even once
+    /// the socket file is unlinked. Used once, on drain.
+    #[cfg(unix)]
+    fn wake_accept(&self) {
+        use std::os::unix::io::AsRawFd;
+        extern "C" {
+            fn shutdown(fd: i32, how: i32) -> i32;
+        }
+        const SHUT_RD: i32 = 0;
+        let fd = match self {
+            Listener::Unix(l) => l.as_raw_fd(),
+            Listener::Tcp(l) => l.as_raw_fd(),
+        };
+        // SAFETY: `fd` is this listener's open socket, borrowed for the
+        // call; shutdown neither closes nor invalidates it.
+        unsafe {
+            shutdown(fd, SHUT_RD);
+        }
+    }
+
+    /// Without `shutdown` semantics to lean on, wake the accept with a
+    /// throwaway self-connect; the loop sees the drain and drops it.
+    #[cfg(not(unix))]
+    fn wake_accept(&self) {
+        if let Some(addr) = self.tcp_addr() {
+            let _ = TcpStream::connect(addr);
         }
     }
 }
@@ -371,7 +399,9 @@ impl Flight {
 /// journal and reports.
 ///
 /// The latch is the *only* way out — callers (the CLI's signal handlers,
-/// tests) request shutdown via [`interrupt::request_drain`].
+/// tests) request shutdown via [`interrupt::request_drain`]. The drain
+/// shuts the listener's read side to wake the blocked accept, so a
+/// listener serves one `serve` call.
 pub fn serve(
     listener: &Listener,
     detector: &Detector,
@@ -388,12 +418,13 @@ pub fn serve(
     // frame ships detectors over, so scoring is identical by contract.
     let initial =
         Detector::load(&detector.save()).expect("a live detector's save() text always loads back");
+    let fingerprint = cache::detector_fingerprint(&initial);
     let shared = Shared {
         config,
         generation: Mutex::new(Arc::new(Generation {
             number: 1,
-            bound: cache::BoundCache::bind(&initial, &policy),
-            fingerprint: cache::detector_fingerprint(&initial),
+            bound: cache::BoundCache::bind_fingerprint(fingerprint, &policy),
+            fingerprint,
             detector: initial,
             version: config
                 .reload_path
@@ -429,30 +460,23 @@ pub fn serve(
             let shared = &shared;
             scope.spawn(move || worker_loop(shared, &rx));
         }
-        loop {
-            if interrupt::drain_requested() {
-                break;
-            }
-            if take_reload_request() {
-                // Signal-driven reload: same path as the wire verb, but
-                // with no client to answer — success and failure land in
-                // the reload.* metrics instead.
-                match &shared.config.reload_path {
-                    Some(path) => {
-                        let _ = try_reload(&shared, &path.display().to_string());
-                    }
-                    None => shared.policy.metrics.record(Stage::ReloadFailed, 1),
-                }
-            }
+        {
+            let shared = &shared;
+            scope.spawn(move || watch_latches(shared, listener));
+        }
+        // The accept loop only accepts: a request never waits on a tick.
+        // The latch watcher wakes the blocked accept when a drain lands.
+        while !interrupt::drain_requested() {
             match listener.accept() {
-                Ok(Some(stream)) => {
+                Ok(stream) => {
                     let tx = tx.clone();
                     let shared = &shared;
                     scope.spawn(move || handle_connection(shared, stream, &tx));
                 }
-                // Nobody waiting (or a transient accept error): nap one
-                // drain-poll tick.
-                Ok(None) | Err(_) => thread::sleep(config.drain_poll),
+                Err(_) if interrupt::drain_requested() => break,
+                // A transient failure (EMFILE, ECONNABORTED): back off one
+                // tick instead of spinning on it.
+                Err(_) => thread::sleep(config.drain_poll),
             }
         }
         // Drain sequence: dropping the accept loop's sender starts the
@@ -477,6 +501,30 @@ pub fn serve(
     }
 }
 
+/// The service's one ticking thread: every drain-poll tick it consumes
+/// the SIGHUP-style reload latch, and when a drain lands it wakes the
+/// blocked accept loop and exits.
+fn watch_latches(shared: &Shared<'_>, listener: &Listener) {
+    loop {
+        if interrupt::drain_requested() {
+            listener.wake_accept();
+            return;
+        }
+        if take_reload_request() {
+            // Signal-driven reload: same path as the wire verb, but with
+            // no client to answer — success and failure land in the
+            // reload.* metrics instead.
+            match &shared.config.reload_path {
+                Some(path) => {
+                    let _ = try_reload(shared, &path.display().to_string());
+                }
+                None => shared.policy.metrics.record(Stage::ReloadFailed, 1),
+            }
+        }
+        thread::sleep(shared.config.drain_poll);
+    }
+}
+
 /// Loads a detector from `path` and swaps it in as the next generation.
 /// Returns the new generation, or the human-readable reason the old one
 /// keeps serving — a failed reload changes nothing.
@@ -493,8 +541,8 @@ fn try_reload(shared: &Shared<'_>, path: &str) -> Result<Arc<Generation>, String
             Err(detail)
         }
         Ok(detector) => {
-            let bound = cache::BoundCache::bind(&detector, &shared.policy);
             let fingerprint = cache::detector_fingerprint(&detector);
+            let bound = cache::BoundCache::bind_fingerprint(fingerprint, &shared.policy);
             let generation = {
                 let mut current = shared.generation.lock().expect("generation lock poisoned");
                 let next = Arc::new(Generation {
@@ -708,17 +756,18 @@ fn scan_job_cached(
     let resolved = match (slot.is_some(), &job.target) {
         (false, ScanTarget::Path(p)) => {
             match read_file_checked(Path::new(p), shared.policy.limits.max_file_size) {
-                Ok(bytes) => Resolved::Digest(cache::sha256(&bytes), Some(bytes)),
+                Ok(bytes) => Resolved::Digest(cache::digest(&bytes, metrics), Some(bytes)),
                 Err(outcome) => Resolved::Typed(outcome),
             }
         }
         (true, ScanTarget::Path(p)) => {
-            match cache::digest_path_under_cap(Path::new(p), shared.policy.limits.max_file_size) {
+            let cap = shared.policy.limits.max_file_size;
+            match cache::digest_path_under_cap(Path::new(p), cap, metrics) {
                 Some(digest) => Resolved::Digest(digest, None),
                 None => Resolved::Bypass,
             }
         }
-        (_, ScanTarget::Bytes(bytes)) => Resolved::Digest(cache::sha256(bytes), None),
+        (_, ScanTarget::Bytes(bytes)) => Resolved::Digest(cache::digest(bytes, metrics), None),
     };
     let (digest, held_bytes) = match resolved {
         Resolved::Digest(digest, bytes) => (digest, bytes),

@@ -247,6 +247,8 @@ metric_enum! {
         CacheEvictions => "cache.evictions",
         /// Approximate serialized size of each inserted entry, in bytes.
         CacheBytes => "cache.bytes",
+        /// SHA-256 of one document's bytes for its cache key.
+        CacheDigestNs => "cache.digest_ns",
         /// Model hot-reloads that swapped in a new detector generation.
         ReloadSuccess => "reload.success",
         /// Model hot-reloads rejected (unreadable or malformed model file).

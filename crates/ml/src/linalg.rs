@@ -102,8 +102,8 @@ mod tests {
         let mut a = vec![vec![0.0; n]; n];
         for i in 0..n {
             for j in 0..n {
-                for k in 0..n {
-                    a[i][j] += m[i][k] * m[j][k];
+                for (x, y) in m[i].iter().zip(&m[j]) {
+                    a[i][j] += x * y;
                 }
             }
             a[i][i] += 1.0;

@@ -8,10 +8,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use vbadet::{
-    scan_paths_journaled, scan_paths_with_policy, Detector, DetectorConfig, MetricsSink,
+    scan_paths_journaled, scan_paths_with_policy, Detector, DetectorConfig, MetricsSink, ScanCache,
     ScanJournal, ScanMetrics, ScanPolicy,
 };
 use vbadet_corpus::CorpusSpec;
@@ -367,6 +367,41 @@ fn serve_stage_counters_round_trip_through_json_and_the_wire_form() {
     let wire: String = pretty.split_whitespace().collect();
     assert!(!wire.contains('\n'), "wire form must be one line");
     assert_eq!(ScanMetrics::from_json(&wire).unwrap(), m);
+}
+
+#[test]
+fn cache_digest_time_is_histogram_side_and_round_trips() {
+    let _serial = serial();
+    let det = detector();
+    let dir = fresh_dir("digest");
+    let paths = write_mixed_corpus(&dir, 12);
+
+    let off = run(det, &paths, &metered_policy());
+    let cache = Arc::new(ScanCache::in_memory(64));
+    let cold = run(
+        det,
+        &paths,
+        &metered_policy().with_cache(Arc::clone(&cache)),
+    );
+    let warm = run(det, &paths, &metered_policy().with_cache(cache));
+    assert!(!off.histograms.contains_key("cache.digest_ns"));
+    for m in [&cold, &warm] {
+        // One timed digest per document, cold or warm, and none of it on
+        // the deterministic side.
+        assert_eq!(m.histograms["cache.digest_ns"].count, paths.len() as u64);
+        assert_eq!(m.counter("cache.digest_ns"), 0);
+        assert_eq!(m.counters, off.counters);
+    }
+
+    // The stage survives the `--metrics-json` dump, the `metrics` verb's
+    // squeezed wire form, and shows in the `--stats` table.
+    let pretty = warm.to_json();
+    assert_eq!(ScanMetrics::from_json(&pretty).unwrap(), warm);
+    let wire: String = pretty.split_whitespace().collect();
+    assert_eq!(ScanMetrics::from_json(&wire).unwrap(), warm);
+    assert!(warm.render_text().contains("cache.digest_ns"));
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

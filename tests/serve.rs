@@ -19,8 +19,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
 use std::thread;
-#[cfg(feature = "faultpoints")]
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vbadet::{Detector, DetectorConfig, Listener, ScanPolicy, ServeConfig, ServeSummary};
 use vbadet_corpus::CorpusSpec;
@@ -564,6 +563,59 @@ fn bind_unix_refuses_to_replace_a_non_socket_file() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Serves `listener` with no client ever connecting, runs `idle` while
+/// the daemon sits in accept, then requests the drain and asserts the
+/// daemon exits within ten drain-poll ticks. The server runs on a
+/// detached thread so a daemon that never wakes fails the test instead
+/// of hanging it.
+fn assert_idle_daemon_drains(listener: Listener, idle: impl FnOnce()) {
+    let det = tiny_detector();
+    let config = ServeConfig::new(ScanPolicy::default());
+    let poll = config.drain_poll;
+    let server = thread::spawn(move || vbadet::serve(&listener, &det, &config, None));
+    // Long enough for the daemon to be blocked in accept.
+    thread::sleep(poll * 4);
+    idle();
+    let start = Instant::now();
+    vbadet::scan::interrupt::request_drain();
+    while !server.is_finished() {
+        assert!(
+            start.elapsed() < poll * 10,
+            "an idle daemon did not drain within 10 drain-poll ticks"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+    let summary = server.join().unwrap();
+    assert!(summary.drained);
+    assert_eq!(summary.responses, 0);
+}
+
+#[test]
+fn an_idle_tcp_daemon_drains_within_ten_ticks() {
+    let _guard = global_guard();
+    assert_idle_daemon_drains(Listener::bind_tcp("127.0.0.1:0").unwrap(), || {});
+}
+
+#[cfg(unix)]
+#[test]
+fn an_idle_unix_daemon_drains_within_ten_ticks() {
+    let _guard = global_guard();
+    let path = std::env::temp_dir().join(format!("vbadet-idle-{}.sock", std::process::id()));
+    assert_idle_daemon_drains(Listener::bind_unix(&path).unwrap(), || {});
+    let _ = std::fs::remove_file(&path);
+}
+
+#[cfg(unix)]
+#[test]
+fn an_idle_unix_daemon_drains_after_its_socket_file_is_unlinked() {
+    let _guard = global_guard();
+    let path = std::env::temp_dir().join(format!("vbadet-unlinked-{}.sock", std::process::id()));
+    let listener = Listener::bind_unix(&path).unwrap();
+    // Nothing can connect any more: the drain wake must not need the path.
+    assert_idle_daemon_drains(listener, || std::fs::remove_file(&path).unwrap());
+    assert!(!path.exists());
+}
+
 #[cfg(feature = "faultpoints")]
 mod faults {
     use super::*;
@@ -833,5 +885,35 @@ mod faults {
         });
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn accept_errors_back_off_a_tick_and_never_stop_the_loop() {
+        let _guard = global_guard();
+        let det = tiny_detector();
+        let config = ServeConfig::new(ScanPolicy::default());
+        // Every accept fails (an EMFILE or ECONNABORTED stand-in) until
+        // the site is switched off.
+        configure("serve::accept-error", "return").unwrap();
+        let start = Instant::now();
+        let (summary, (attempts, ticks, health)) = with_server(&det, &config, |addr| {
+            thread::sleep(config.drain_poll * 8);
+            let attempts = vbadet_faultpoint::hit_count("serve::accept-error");
+            let ticks = start.elapsed().as_nanos() / config.drain_poll.as_nanos();
+            // The connection waits in the backlog while accepts fail; a
+            // loop that gave up on accepting fails the read, not hangs.
+            let mut client = Client::connect(addr);
+            let patience = Some(Duration::from_secs(10));
+            client.writer.set_read_timeout(patience).unwrap();
+            configure("serve::accept-error", "off").unwrap();
+            (attempts, ticks, client.roundtrip("health"))
+        });
+        // One attempt per tick of back-off, not a spin.
+        assert!(
+            attempts >= 2 && u128::from(attempts) <= ticks + 1,
+            "{attempts} accept attempts in {ticks} drain-poll ticks"
+        );
+        assert!(health.contains("\"op\":\"health\""), "{health}");
+        assert_eq!(summary.responses, 1);
     }
 }
