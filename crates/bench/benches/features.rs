@@ -1,6 +1,8 @@
 //! Fused single-pass feature extraction vs the historical multi-pass
 //! reference, recorded to `results/BENCH_features.json` so `scripts/ci.sh`
-//! can gate on the speedup.
+//! can gate on the speedup. Also records the V path's two layers on their
+//! own, in MB/s of module source: the lexer (`lex_mb_per_s`) and the V
+//! token passes (`pass_mb_per_s`).
 //!
 //! Hand-rolled timing for the same reason as `scan_parallel`: the CI gate
 //! needs machine-readable throughput numbers, and the honest unit is a
@@ -59,6 +61,26 @@ fn main() {
         "paths diverged inside the bench itself"
     );
 
+    // The two layers of the V path on their own, timed per module with
+    // FeatureScratch's two-step call: the lexer, then the V token passes.
+    let (mut lex_best, mut pass_best) = (Duration::MAX, Duration::MAX);
+    for _ in 0..REPS {
+        let (mut lex, mut pass) = (Duration::ZERO, Duration::ZERO);
+        for s in &sources {
+            let start = Instant::now();
+            let analysis = scratch.lex(s);
+            let lexed = Instant::now();
+            std::hint::black_box(scratch.pass(FeatureSet::V, analysis));
+            lex += lexed - start;
+            pass += lexed.elapsed();
+        }
+        lex_best = lex_best.min(lex);
+        pass_best = pass_best.min(pass);
+    }
+    let mb = bytes as f64 / 1e6;
+    let lex_mb_per_s = mb / lex_best.as_secs_f64();
+    let pass_mb_per_s = mb / pass_best.as_secs_f64();
+
     let fused_docs_per_sec = docs as f64 / fused.as_secs_f64();
     let reference_docs_per_sec = docs as f64 / refr.as_secs_f64();
     let speedup = refr.as_secs_f64() / fused.as_secs_f64();
@@ -67,7 +89,9 @@ fn main() {
         "features: {docs} modules, {bytes} bytes (V + J per module)\n\
            fused      {fused_docs_per_sec:>10.1} docs/s  ({fused:.3?}/sweep)\n\
            reference  {reference_docs_per_sec:>10.1} docs/s  ({refr:.3?}/sweep)\n\
-           speedup    {speedup:>10.2}x"
+           speedup    {speedup:>10.2}x\n\
+           V lex      {lex_mb_per_s:>10.1} MB/s    ({lex_best:.3?}/sweep)\n\
+           V pass     {pass_mb_per_s:>10.1} MB/s    ({pass_best:.3?}/sweep)"
     );
 
     let results_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
@@ -77,7 +101,9 @@ fn main() {
          \"reps\": {REPS},\n  \
          \"fused_docs_per_sec\": {fused_docs_per_sec:.2},\n  \
          \"reference_docs_per_sec\": {reference_docs_per_sec:.2},\n  \
-         \"speedup_vs_reference\": {speedup:.4}\n}}\n"
+         \"speedup_vs_reference\": {speedup:.4},\n  \
+         \"lex_mb_per_s\": {lex_mb_per_s:.2},\n  \
+         \"pass_mb_per_s\": {pass_mb_per_s:.2}\n}}\n"
     );
     let out = results_dir.join("BENCH_features.json");
     std::fs::write(&out, json).unwrap();

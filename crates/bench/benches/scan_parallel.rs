@@ -213,12 +213,18 @@ fn main() {
         seq_docs_per_sec, par_docs_per_sec, iso_docs_per_sec,
     );
 
-    // Combined scoring throughput (features + predict), comparable to the
-    // pre-split `stage_scan_score_docs_per_sec` baseline key.
+    // Combined scoring throughput (lex + feature pass + predict),
+    // comparable to the pre-split `stage_scan_score_docs_per_sec` baseline
+    // key.
     let scoring_ns: u64 = snapshot
         .histograms
         .iter()
-        .filter(|(label, _)| matches!(label.as_str(), "scan.features_ns" | "scan.predict_ns"))
+        .filter(|(label, _)| {
+            matches!(
+                label.as_str(),
+                "vba.lex_ns" | "features.pass_ns" | "scan.predict_ns"
+            )
+        })
         .map(|(_, h)| h.total)
         .sum();
     let scoring_docs_per_sec = if scoring_ns > 0 {

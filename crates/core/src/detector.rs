@@ -5,6 +5,7 @@ use crate::extract::extract_macros;
 use crate::DetectError;
 use vbadet_corpus::{generate_macros, CorpusSpec};
 use vbadet_features::FeatureSet;
+use vbadet_metrics::{MetricsSink, Stage};
 use vbadet_ml::{
     BernoulliNb, Classifier, LinearDiscriminant, MlpClassifier, RandomForest, StandardScaler,
     SvmRbf,
@@ -189,10 +190,24 @@ impl Detector {
     }
 
     /// Stage 1 of the split hot path: extracts this detector's feature
-    /// set into `scratch`'s reusable buffers and returns the vector.
-    /// Bit-identical to `config.feature_set.extract(source)`.
-    pub fn extract_with<'s>(&self, scratch: &'s mut ScoreScratch, source: &str) -> &'s [f64] {
-        let v = scratch.fx.extract(self.config.feature_set, source);
+    /// set into `scratch`'s reusable buffers and returns the vector,
+    /// timing the lexer as `vba.lex_ns` and the token passes as
+    /// `features.pass_ns` on `metrics`. Bit-identical to
+    /// `config.feature_set.extract(source)`.
+    pub fn extract_with<'s>(
+        &self,
+        scratch: &'s mut ScoreScratch,
+        source: &str,
+        metrics: &MetricsSink,
+    ) -> &'s [f64] {
+        let analysis = {
+            let _t = metrics.time(Stage::LexNs);
+            scratch.fx.lex(source)
+        };
+        let v = {
+            let _t = metrics.time(Stage::FeaturesPassNs);
+            scratch.fx.pass(self.config.feature_set, analysis)
+        };
         scratch.features.clear();
         scratch.features.extend_from_slice(v);
         &scratch.features
@@ -214,7 +229,7 @@ impl Detector {
     /// extraction into `scratch`, then in-place standardization and
     /// classification. Bit-identical verdicts.
     pub fn score_with(&self, scratch: &mut ScoreScratch, source: &str) -> Verdict {
-        self.extract_with(scratch, source);
+        self.extract_with(scratch, source, &MetricsSink::disabled());
         self.predict_with(scratch)
     }
 

@@ -546,13 +546,18 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (the input came from &str,
-                    // so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run of plain bytes up to the next quote or
+                    // escape. The input came from a &str and both
+                    // delimiters are ASCII, so the run is whole chars;
+                    // validating only the run keeps a long string (the
+                    // detector in an isolate hello) linear, not quadratic.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -864,5 +869,23 @@ mod tests {
         );
         assert!(parse_json("{\"a\":}").is_err());
         assert!(parse_json("{} trailing").is_err());
+    }
+
+    #[test]
+    fn long_strings_round_trip_in_linear_time() {
+        // A detector-sized text and a 1 MiB one, with raw non-ASCII and
+        // escapes between the plain runs. Re-validating the rest of the
+        // input per char (the old decoder) takes minutes on the latter.
+        for n in [10_000, 1 << 20] {
+            let text: String = "caf\u{e9} \"q\"\\\n\u{1F600}x"
+                .chars()
+                .cycle()
+                .take(n)
+                .collect();
+            let parsed = parse_json(&json_str(&text)).unwrap();
+            assert_eq!(parsed.as_str(), Some(text.as_str()));
+        }
+        assert!(parse_json("\"unterminated").is_err());
+        assert!(parse_json("\"caf\u{e9}").is_err());
     }
 }

@@ -85,15 +85,13 @@ thread_local! {
         std::cell::RefCell::new(ScoreScratch::default());
 }
 
-/// Scores one module through the per-thread scratch, timing the two hot
-/// stages separately. Verdicts are bit-identical to `detector.score`.
+/// Scores one module through the per-thread scratch, timing the three hot
+/// stages (lex, feature pass, predict) separately. Verdicts are
+/// bit-identical to `detector.score`.
 fn score_module(detector: &Detector, metrics: &MetricsSink, code: &str) -> crate::Verdict {
     SCORE_SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
-        {
-            let _t = metrics.time(Stage::FeaturesNs);
-            detector.extract_with(scratch, code);
-        }
+        detector.extract_with(scratch, code, metrics);
         let _t = metrics.time(Stage::PredictNs);
         detector.predict_with(scratch)
     })

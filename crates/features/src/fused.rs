@@ -7,15 +7,19 @@
 //! extractors iterated it, keeping every derived `f64` bit-identical to
 //! the reference implementation (see `crate::reference`).
 
-use vbadet_vba::{functions, FunctionCategory, MacroAnalysis, SpanKind, SpanToken};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
+use vbadet_vba::{BuiltinId, FunctionCategory, KeywordId, MacroAnalysis, Op, SpanKind, SpanToken};
 
 /// Reusable buffers for the token passes (cleared per document, capacity
 /// retained).
 #[derive(Debug, Default)]
 pub struct PassScratch {
-    arg_spans: Vec<(usize, usize)>,
-    ident_cand: Vec<(u64, u32)>,
-    ident_first: Vec<u32>,
+    arg_spans: Vec<(u32, u32)>,
+    /// Open-addressing set of the distinct identifiers seen so far:
+    /// `hash << 32 | token index + 1`, 0 for an empty slot.
+    ident_set: Vec<u64>,
+    ident_keys: RandomState,
     pub(crate) ident_lengths: Vec<f64>,
 }
 
@@ -36,24 +40,11 @@ pub(crate) struct TokenDerived {
     pub body_chars: f64,
 }
 
-fn is_significant(t: &SpanToken) -> bool {
-    !matches!(t.kind, SpanKind::Comment(_) | SpanKind::Newline)
-}
-
-/// Whether the *previous significant token* makes an identifier a
-/// declaration name rather than a call.
-fn is_decl_keyword(k: &str) -> bool {
-    ["sub", "function", "property", "dim", "const", "as"]
-        .iter()
-        .any(|d| k.eq_ignore_ascii_case(d))
-}
-
 /// One pass over the tokens: call sites + categories, string operators,
 /// procedure bodies. Streaming equivalent of the `call_sites()` /
-/// `string_operator_count()` / `procedure_body_spans()` views.
+/// `string_operator_count()` / `procedure_body_spans()` views, on the ids
+/// the lexer interned instead of token text.
 pub(crate) fn token_derived(analysis: &MacroAnalysis) -> TokenDerived {
-    let source = analysis.source();
-    let text = |t: &SpanToken| &source[t.start..t.end];
     // `iter::Sum for f64` folds from -0.0, so the reference's body-char
     // sum is -0.0 when no body exists — and that sign bit survives into
     // J19. Start from the same identity to stay bit-identical.
@@ -63,15 +54,15 @@ pub(crate) fn token_derived(analysis: &MacroAnalysis) -> TokenDerived {
     };
     // Call-site machine: an identifier is "pending" until the next
     // significant token decides paren-call vs statement-position builtin.
-    let mut pending: Option<SpanToken> = None;
-    let mut prev_sig: Option<SpanToken> = None;
-    let mut open_body: Option<usize> = None;
+    let mut pending: Option<BuiltinId> = None;
+    // The previous significant token, when it is a keyword.
+    let mut prev_kw: Option<KeywordId> = None;
+    let mut open_body: Option<u32> = None;
 
-    let resolve = |d: &mut TokenDerived, p: SpanToken, followed_by_paren: bool| {
-        let name = &source[p.start..p.end];
-        if followed_by_paren || functions::is_builtin(name) {
+    let resolve = |d: &mut TokenDerived, builtin: BuiltinId, followed_by_paren: bool| {
+        if followed_by_paren || builtin.is_builtin() {
             d.call_count += 1;
-            if let Some(cat) = functions::categorize(name) {
+            if let Some(cat) = builtin.category() {
                 let idx = match cat {
                     FunctionCategory::Text => 0,
                     FunctionCategory::Arithmetic => 1,
@@ -85,50 +76,42 @@ pub(crate) fn token_derived(analysis: &MacroAnalysis) -> TokenDerived {
     };
 
     for t in analysis.tokens() {
-        if matches!(t.kind, SpanKind::Operator("&" | "+" | "=")) {
-            d.string_ops += 1;
-        }
-        if !is_significant(t) {
-            continue;
-        }
-        if let Some(p) = pending.take() {
-            resolve(&mut d, p, matches!(t.kind, SpanKind::Operator("(")));
-        }
         match t.kind {
-            SpanKind::Identifier => {
-                let declared = matches!(prev_sig, Some(p) if matches!(p.kind, SpanKind::Keyword)
-                    && is_decl_keyword(text(&p)));
-                if !declared {
-                    pending = Some(*t);
-                }
-            }
-            SpanKind::Keyword => {
-                let k = text(t);
-                if k.eq_ignore_ascii_case("sub") || k.eq_ignore_ascii_case("function") {
-                    let prev_is = |name: &str| {
-                        matches!(prev_sig, Some(p) if matches!(p.kind, SpanKind::Keyword)
-                            && text(&p).eq_ignore_ascii_case(name))
-                    };
-                    if prev_is("declare") {
-                        // Prototype, not a body.
-                    } else if prev_is("end") {
-                        if let Some(start) = open_body.take() {
-                            d.body_count += 1;
-                            d.body_chars += (t.char_end - start) as f64;
-                        }
-                    } else if prev_is("exit") {
-                        // `Exit Sub` keeps the procedure open.
-                    } else if open_body.is_none() {
-                        open_body = Some(t.char_start);
-                    }
-                }
-            }
+            SpanKind::Comment(_) | SpanKind::Newline => continue,
+            SpanKind::Operator(Op::Amp | Op::Plus | Op::Eq) => d.string_ops += 1,
             _ => {}
         }
-        prev_sig = Some(*t);
+        if let Some(b) = pending.take() {
+            resolve(&mut d, b, t.kind == SpanKind::Operator(Op::LParen));
+        }
+        match t.kind {
+            SpanKind::Identifier(b) if !prev_kw.is_some_and(KeywordId::declares_name) => {
+                pending = Some(b);
+            }
+            SpanKind::Keyword(KeywordId::SUB | KeywordId::FUNCTION) => match prev_kw {
+                // Prototype, not a body.
+                Some(KeywordId::DECLARE) => {}
+                Some(KeywordId::END) => {
+                    if let Some(start) = open_body.take() {
+                        d.body_count += 1;
+                        d.body_chars += (t.char_end - start) as f64;
+                    }
+                }
+                // `Exit Sub` keeps the procedure open.
+                Some(KeywordId::EXIT) => {}
+                _ => {
+                    open_body.get_or_insert(t.char_start);
+                }
+            },
+            _ => {}
+        }
+        prev_kw = match t.kind {
+            SpanKind::Keyword(k) => Some(k),
+            _ => None,
+        };
     }
-    if let Some(p) = pending.take() {
-        resolve(&mut d, p, false);
+    if let Some(b) = pending.take() {
+        resolve(&mut d, b, false);
     }
     d
 }
@@ -149,10 +132,10 @@ pub(crate) fn arg_length_stats(
     let (mut sum, mut count) = (0.0f64, 0usize);
     let mut i = 0usize;
     while i < tokens.len() {
-        let is_call_open = matches!(tokens[i].kind, SpanKind::Identifier)
+        let is_call_open = matches!(tokens[i].kind, SpanKind::Identifier(_))
             && matches!(
                 tokens.get(i + 1).map(|t| t.kind),
-                Some(SpanKind::Operator("("))
+                Some(SpanKind::Operator(Op::LParen))
             );
         if !is_call_open {
             i += 1;
@@ -167,8 +150,8 @@ pub(crate) fn arg_length_stats(
         let mut closed = false;
         while j < tokens.len() {
             match tokens[j].kind {
-                SpanKind::Operator("(") => depth += 1,
-                SpanKind::Operator(")") => {
+                SpanKind::Operator(Op::LParen) => depth += 1,
+                SpanKind::Operator(Op::RParen) => {
                     depth -= 1;
                     if depth == 0 {
                         scratch.arg_spans.push((arg_start, tokens[j].start));
@@ -176,7 +159,7 @@ pub(crate) fn arg_length_stats(
                         break;
                     }
                 }
-                SpanKind::Operator(",") if depth == 1 => {
+                SpanKind::Operator(Op::Comma) if depth == 1 => {
                     scratch.arg_spans.push((arg_start, tokens[j].start));
                     arg_start = tokens[j].end;
                 }
@@ -186,7 +169,7 @@ pub(crate) fn arg_length_stats(
         }
         if closed {
             for &(s, e) in &scratch.arg_spans {
-                let text = source[s..e].trim();
+                let text = source[s as usize..e as usize].trim();
                 if !text.is_empty() {
                     sum += text.chars().count() as f64;
                     count += 1;
@@ -200,68 +183,63 @@ pub(crate) fn arg_length_stats(
     (sum, count)
 }
 
-/// FNV-1a over the ASCII-lowercase folding of `name`'s bytes.
-fn folded_hash(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b.to_ascii_lowercase() as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Keyed hash of the ASCII-lowercase folding of `name`. Identifier names
+/// come from the scanned document, so the set uses the standard library's
+/// randomly keyed SipHash: a document cannot be crafted to collide.
+fn folded_hash(keys: &RandomState, name: &[u8]) -> u64 {
+    let mut h = keys.build_hasher();
+    let mut buf = [0u8; 32];
+    for chunk in name.chunks(buf.len()) {
+        let folded = &mut buf[..chunk.len()];
+        folded.copy_from_slice(chunk);
+        folded.make_ascii_lowercase();
+        h.write(folded);
     }
-    h
+    h.finish()
 }
 
 /// V14/V15: distinct user identifier lengths in first-occurrence order —
 /// the dedup semantics of `identifiers()` (case-insensitive, builtins
-/// excluded) without per-occurrence `String` keys. Fills
-/// `scratch.ident_lengths`.
+/// excluded) without per-occurrence `String` keys. Each non-builtin
+/// identifier probes a per-document hash set keyed by its case-folded
+/// text; a new name appends its length. Fills `scratch.ident_lengths`.
 pub(crate) fn ident_lengths<'s>(
     analysis: &MacroAnalysis,
     scratch: &'s mut PassScratch,
 ) -> &'s [f64] {
-    let source = analysis.source();
+    let source = analysis.source().as_bytes();
     let tokens = analysis.tokens();
-    scratch.ident_cand.clear();
-    scratch.ident_first.clear();
+    let is_candidate = |t: &SpanToken| t.kind == SpanKind::Identifier(BuiltinId::NONE);
+    // At least twice as many slots as candidates keeps the load at most
+    // one half; the buffer's capacity is retained across documents.
+    let candidates = tokens.iter().filter(|t| is_candidate(t)).count();
+    let set = &mut scratch.ident_set;
+    set.clear();
+    set.resize((2 * candidates).next_power_of_two(), 0);
+    let mask = set.len() - 1;
     scratch.ident_lengths.clear();
     for (i, t) in tokens.iter().enumerate() {
-        if matches!(t.kind, SpanKind::Identifier) {
-            let name = &source[t.start..t.end];
-            if !functions::is_builtin(name) {
-                scratch.ident_cand.push((folded_hash(name), i as u32));
+        if !is_candidate(t) {
+            continue;
+        }
+        let name = &source[t.span()];
+        let hash = folded_hash(&scratch.ident_keys, name) >> 32;
+        let mut slot = hash as usize & mask;
+        loop {
+            let entry = set[slot];
+            if entry == 0 {
+                set[slot] = hash << 32 | (i as u64 + 1);
+                scratch.ident_lengths.push(t.char_len() as f64);
+                break;
             }
-        }
-    }
-    // Group by hash; within a group (already in occurrence order) accept
-    // an element only if no earlier accepted element matches
-    // case-insensitively. Hash collisions across distinct names are
-    // resolved by the string compare, so the result is exact.
-    scratch.ident_cand.sort_unstable();
-    let cand = &scratch.ident_cand;
-    let mut g = 0usize;
-    while g < cand.len() {
-        let mut end = g + 1;
-        while end < cand.len() && cand[end].0 == cand[g].0 {
-            end += 1;
-        }
-        for k in g..end {
-            let tk = &tokens[cand[k].1 as usize];
-            let name = &source[tk.start..tk.end];
-            let dup = cand[g..k].iter().any(|&(_, fi)| {
-                let ft = &tokens[fi as usize];
-                source[ft.start..ft.end].eq_ignore_ascii_case(name)
-            });
-            if !dup {
-                scratch.ident_first.push(cand[k].1);
+            if entry >> 32 == hash {
+                let seen = &tokens[(entry as u32 - 1) as usize];
+                if source[seen.span()].eq_ignore_ascii_case(name) {
+                    break;
+                }
             }
+            slot = (slot + 1) & mask;
         }
-        g = end;
-    }
-    // Restore first-occurrence (document) order.
-    scratch.ident_first.sort_unstable();
-    for &i in &scratch.ident_first {
-        scratch
-            .ident_lengths
-            .push(tokens[i as usize].char_len() as f64);
     }
     &scratch.ident_lengths
 }
@@ -289,15 +267,26 @@ mod tests {
 
     #[test]
     fn ident_dedup_matches_identifiers_view() {
-        let src = "Dim Alpha\r\nalpha = ALPHA + beta\r\nx = Chr(1)\r\ncaf\u{e9} = caf\u{c9}\r\n";
-        let a = MacroAnalysis::new(src);
-        let mut s = PassScratch::default();
-        let lens: Vec<f64> = ident_lengths(&a, &mut s).to_vec();
-        let expect: Vec<f64> = a
-            .identifiers()
-            .iter()
-            .map(|i| i.chars().count() as f64)
+        // Many distinct names (in mixed case, repeated) fill a large set;
+        // one scratch across documents of different sizes.
+        let many: String = (0..600)
+            .map(|i| format!("v{}x{i} = V{}X{i} + w{}\r\n", i % 7, i % 7, i % 13))
             .collect();
-        assert_eq!(lens, expect);
+        let mut s = PassScratch::default();
+        for src in [
+            "Dim Alpha\r\nalpha = ALPHA + beta\r\nx = Chr(1)\r\ncaf\u{e9} = caf\u{c9}\r\n",
+            &many,
+            "",
+            "Chr$(1) + x$ + X + x",
+        ] {
+            let a = MacroAnalysis::new(src);
+            let lens: Vec<f64> = ident_lengths(&a, &mut s).to_vec();
+            let expect: Vec<f64> = a
+                .identifiers()
+                .iter()
+                .map(|i| i.chars().count() as f64)
+                .collect();
+            assert_eq!(lens, expect, "{src:?}");
+        }
     }
 }

@@ -91,7 +91,20 @@ impl FeatureScratch {
     /// Extracts `set` from `source` into the reusable output buffer.
     /// Identical (bit-for-bit) to [`FeatureSet::extract`].
     pub fn extract(&mut self, set: FeatureSet, source: &str) -> &[f64] {
-        let analysis = vbadet_vba::MacroAnalysis::with_scratch(source, &mut self.lex);
+        let analysis = self.lex(source);
+        self.pass(set, analysis)
+    }
+
+    /// Step one of [`extract`](Self::extract): lexes `source` into the
+    /// reusable lexer buffers. Hand the result to [`pass`](Self::pass).
+    pub fn lex<'a>(&mut self, source: &'a str) -> vbadet_vba::MacroAnalysis<'a> {
+        vbadet_vba::MacroAnalysis::with_scratch(source, &mut self.lex)
+    }
+
+    /// Step two of [`extract`](Self::extract): the token passes of `set`
+    /// over `analysis`, into the reusable output buffer; the analysis
+    /// buffers go back to the lexer scratch.
+    pub fn pass(&mut self, set: FeatureSet, analysis: vbadet_vba::MacroAnalysis) -> &[f64] {
         self.out.clear();
         match set {
             FeatureSet::V => self

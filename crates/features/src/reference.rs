@@ -11,7 +11,7 @@ use crate::entropy::shannon_entropy;
 use crate::jset::J_DIM;
 use crate::vset::V_DIM;
 use crate::{mean, variance};
-use vbadet_vba::{FunctionCategory, MacroAnalysis, SpanKind};
+use vbadet_vba::{FunctionCategory, MacroAnalysis, Op, SpanKind};
 
 /// Reference J1–J20 extraction (historical implementation).
 pub fn j_features(source: &str) -> [f64; J_DIM] {
@@ -243,10 +243,10 @@ fn argument_lengths(analysis: &MacroAnalysis) -> Vec<f64> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
-        let is_call_open = matches!(tokens[i].kind, SpanKind::Identifier)
+        let is_call_open = matches!(tokens[i].kind, SpanKind::Identifier(_))
             && matches!(
                 tokens.get(i + 1).map(|t| t.kind),
-                Some(SpanKind::Operator("("))
+                Some(SpanKind::Operator(Op::LParen))
             );
         if !is_call_open {
             i += 1;
@@ -257,12 +257,12 @@ fn argument_lengths(analysis: &MacroAnalysis) -> Vec<f64> {
         let mut depth = 0usize;
         let mut arg_start = tokens[open].end;
         let mut j = open;
-        let mut spans: Vec<(usize, usize)> = Vec::new();
+        let mut spans: Vec<(u32, u32)> = Vec::new();
         let mut closed = false;
         while j < tokens.len() {
             match tokens[j].kind {
-                SpanKind::Operator("(") => depth += 1,
-                SpanKind::Operator(")") => {
+                SpanKind::Operator(Op::LParen) => depth += 1,
+                SpanKind::Operator(Op::RParen) => {
                     depth -= 1;
                     if depth == 0 {
                         spans.push((arg_start, tokens[j].start));
@@ -270,7 +270,7 @@ fn argument_lengths(analysis: &MacroAnalysis) -> Vec<f64> {
                         break;
                     }
                 }
-                SpanKind::Operator(",") if depth == 1 => {
+                SpanKind::Operator(Op::Comma) if depth == 1 => {
                     spans.push((arg_start, tokens[j].start));
                     arg_start = tokens[j].end;
                 }
@@ -280,7 +280,7 @@ fn argument_lengths(analysis: &MacroAnalysis) -> Vec<f64> {
         }
         if closed {
             for (s, e) in spans {
-                let text = source[s..e].trim();
+                let text = source[s as usize..e as usize].trim();
                 if !text.is_empty() {
                     out.push(text.chars().count() as f64);
                 }

@@ -193,8 +193,10 @@ metric_enum! {
         ExtractStrictNs => "extract.strict_ns",
         /// Salvage-only ladder rung, per document.
         ExtractSalvageNs => "extract.salvage_ns",
-        /// Detector feature extraction, per scored module.
-        FeaturesNs => "scan.features_ns",
+        /// Lexing one scored module (tokens, interned ids, char stats).
+        LexNs => "vba.lex_ns",
+        /// The feature set's token passes over one lexed module.
+        FeaturesPassNs => "features.pass_ns",
         /// Classifier inference over extracted features, per scored module.
         PredictNs => "scan.predict_ns",
         /// Whole single-document scan, end to end.

@@ -74,10 +74,17 @@ impl Default for DirStream {
     }
 }
 
-/// Decodes an MBCS payload. We model code page 1252 as Latin-1, which is
-/// exact for the ASCII subset every generated macro uses.
-fn decode_mbcs(bytes: &[u8]) -> String {
-    bytes.iter().map(|&b| b as char).collect()
+/// Decodes an MBCS payload. We model code page 1252 as Latin-1 (each
+/// byte is the char of the same value), which is exact for the ASCII
+/// subset every generated macro uses. ASCII bytes are already UTF-8, so
+/// an all-ASCII payload — every module on the scan path — is taken over
+/// as is instead of being re-encoded char by char.
+pub(crate) fn decode_mbcs(bytes: Vec<u8>) -> String {
+    if bytes.is_ascii() {
+        String::from_utf8(bytes).expect("ASCII is valid UTF-8")
+    } else {
+        bytes.iter().map(|&b| b as char).collect()
+    }
 }
 
 fn encode_mbcs(s: &str) -> Vec<u8> {
@@ -139,14 +146,14 @@ impl DirStream {
                     dir.codepage = u16::from_le_bytes([payload[0], payload[1]]);
                 }
                 0x04 => {
-                    dir.name = decode_mbcs(payload);
+                    dir.name = decode_mbcs(payload.to_vec());
                     saw_name = true;
                 }
                 0x05 => {
-                    dir.doc_string = decode_mbcs(payload);
+                    dir.doc_string = decode_mbcs(payload.to_vec());
                 }
                 0x06 => {
-                    dir.help_file = decode_mbcs(payload);
+                    dir.help_file = decode_mbcs(payload.to_vec());
                 }
                 0x07 => {
                     dir.help_context = read_u32(payload, id, "help context")?;
@@ -157,7 +164,7 @@ impl DirStream {
                         dir.modules.push(m);
                     }
                     current_module = Some(ModuleRecord {
-                        name: decode_mbcs(payload),
+                        name: decode_mbcs(payload.to_vec()),
                         stream_name: String::new(),
                         text_offset: 0,
                         module_type: ModuleType::Procedural,
@@ -167,7 +174,7 @@ impl DirStream {
                 }
                 0x1A => {
                     if let Some(m) = current_module.as_mut() {
-                        m.stream_name = decode_mbcs(payload);
+                        m.stream_name = decode_mbcs(payload.to_vec());
                     }
                 }
                 0x31 => {
@@ -295,6 +302,18 @@ fn read_u32(payload: &[u8], id: u16, what: &'static str) -> Result<u32, OvbaErro
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mbcs_decode_is_latin1_for_every_byte() {
+        let all: Vec<u8> = (0..=u8::MAX).collect();
+        let latin1: String = all.iter().map(|&b| b as char).collect();
+        assert_eq!(decode_mbcs(all.clone()), latin1);
+        for b in 0..=u8::MAX {
+            assert_eq!(decode_mbcs(vec![b'a', b, b'z']), format!("a{}z", b as char));
+        }
+        let ascii = b"Sub A()\r\nEnd Sub\r\n".to_vec();
+        assert_eq!(decode_mbcs(ascii), "Sub A()\r\nEnd Sub\r\n");
+    }
 
     fn sample() -> DirStream {
         DirStream {

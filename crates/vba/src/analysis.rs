@@ -11,6 +11,7 @@
 //! performs no per-document buffer allocation.
 
 use crate::functions;
+use crate::intern::Op;
 use crate::lexer::{lex_spans, CommentInfo, StrRepr, StringInfo};
 use crate::stats::SourceStats;
 use crate::token::{SpanKind, SpanToken};
@@ -59,6 +60,10 @@ impl<'a> MacroAnalysis<'a> {
 
     /// Like [`new`](Self::new), but lexes into buffers taken from
     /// `scratch` (left empty; return them with [`recycle`](Self::recycle)).
+    ///
+    /// # Panics
+    ///
+    /// If `source` is 4 GiB or longer (token offsets are `u32`).
     pub fn with_scratch(source: &'a str, scratch: &mut LexScratch) -> Self {
         let mut a = MacroAnalysis {
             source,
@@ -110,7 +115,7 @@ impl<'a> MacroAnalysis<'a> {
         match token.kind {
             SpanKind::StringLit(i) => self.string_value(i as usize),
             SpanKind::Comment(i) => self.comment_body(i as usize),
-            _ => &self.source[token.start..token.end],
+            _ => &self.source[token.span()],
         }
     }
 
@@ -188,8 +193,8 @@ impl<'a> MacroAnalysis<'a> {
         let mut seen: BTreeSet<String> = BTreeSet::new();
         let mut out = Vec::new();
         for t in &self.tokens {
-            if matches!(t.kind, SpanKind::Identifier) {
-                let name = &self.source[t.start..t.end];
+            if matches!(t.kind, SpanKind::Identifier(_)) {
+                let name = &self.source[t.span()];
                 if functions::is_builtin(name) {
                     continue;
                 }
@@ -205,8 +210,8 @@ impl<'a> MacroAnalysis<'a> {
     pub fn identifier_occurrences(&self) -> Vec<&str> {
         self.tokens
             .iter()
-            .filter(|t| matches!(t.kind, SpanKind::Identifier))
-            .map(|t| &self.source[t.start..t.end])
+            .filter(|t| matches!(t.kind, SpanKind::Identifier(_)))
+            .map(|t| &self.source[t.span()])
             .collect()
     }
 
@@ -221,13 +226,13 @@ impl<'a> MacroAnalysis<'a> {
             .collect();
         let mut out = Vec::new();
         for (pos, token) in significant.iter().enumerate() {
-            if !matches!(token.kind, SpanKind::Identifier) {
+            if !matches!(token.kind, SpanKind::Identifier(_)) {
                 continue;
             }
-            let name = &self.source[token.start..token.end];
+            let name = &self.source[token.span()];
             // Skip declaration names: `Sub X`, `Function X`, `Property Get X`.
-            if pos > 0 && matches!(significant[pos - 1].kind, SpanKind::Keyword) {
-                let k = &self.source[significant[pos - 1].start..significant[pos - 1].end];
+            if pos > 0 && matches!(significant[pos - 1].kind, SpanKind::Keyword(_)) {
+                let k = &self.source[significant[pos - 1].span()];
                 if ["sub", "function", "property", "dim", "const", "as"]
                     .iter()
                     .any(|d| k.eq_ignore_ascii_case(d))
@@ -237,7 +242,7 @@ impl<'a> MacroAnalysis<'a> {
             }
             let followed_by_paren = matches!(
                 significant.get(pos + 1).map(|t| t.kind),
-                Some(SpanKind::Operator("("))
+                Some(SpanKind::Operator(Op::LParen))
             );
             if followed_by_paren || functions::is_builtin(name) {
                 out.push(name);
@@ -255,10 +260,11 @@ impl<'a> MacroAnalysis<'a> {
         let mut segments: Vec<&str> = Vec::new();
         for t in &self.tokens {
             if matches!(t.kind, SpanKind::Comment(_) | SpanKind::StringLit(_)) {
-                if t.start > cursor {
-                    segments.push(&self.source[cursor..t.start]);
+                let span = t.span();
+                if span.start > cursor {
+                    segments.push(&self.source[cursor..span.start]);
                 }
-                cursor = cursor.max(t.end);
+                cursor = cursor.max(span.end);
             }
         }
         if cursor < self.source.len() {
@@ -292,7 +298,7 @@ impl<'a> MacroAnalysis<'a> {
     pub fn string_operator_count(&self) -> usize {
         self.tokens
             .iter()
-            .filter(|t| matches!(t.kind, SpanKind::Operator("&" | "+" | "=")))
+            .filter(|t| matches!(t.kind, SpanKind::Operator(Op::Amp | Op::Plus | Op::Eq)))
             .count()
     }
 
@@ -300,7 +306,7 @@ impl<'a> MacroAnalysis<'a> {
     pub fn operator_count(&self, op: &str) -> usize {
         self.tokens
             .iter()
-            .filter(|t| matches!(t.kind, SpanKind::Operator(o) if o == op))
+            .filter(|t| matches!(t.kind, SpanKind::Operator(o) if o.as_str() == op))
             .count()
     }
 
@@ -318,12 +324,12 @@ impl<'a> MacroAnalysis<'a> {
             .filter(|t| !matches!(t.kind, SpanKind::Newline | SpanKind::Comment(_)))
             .collect();
         for window in toks.windows(2) {
-            if matches!(window[0].kind, SpanKind::Keyword)
-                && matches!(window[1].kind, SpanKind::Identifier)
+            if matches!(window[0].kind, SpanKind::Keyword(_))
+                && matches!(window[1].kind, SpanKind::Identifier(_))
             {
-                let k = &self.source[window[0].start..window[0].end];
+                let k = &self.source[window[0].span()];
                 if k.eq_ignore_ascii_case("sub") || k.eq_ignore_ascii_case("function") {
-                    out.push(&self.source[window[1].start..window[1].end]);
+                    out.push(&self.source[window[1].span()]);
                 }
             }
         }
@@ -336,11 +342,11 @@ impl<'a> MacroAnalysis<'a> {
     pub fn procedure_body_spans(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         let toks = &self.tokens;
-        let kw_text = |t: &SpanToken| &self.source[t.start..t.end];
+        let kw_text = |t: &SpanToken| &self.source[t.span()];
         let mut open: Option<usize> = None;
         let mut i = 0usize;
         while i < toks.len() {
-            let is_proc_kw = matches!(toks[i].kind, SpanKind::Keyword) && {
+            let is_proc_kw = matches!(toks[i].kind, SpanKind::Keyword(_)) && {
                 let k = kw_text(&toks[i]);
                 k.eq_ignore_ascii_case("sub") || k.eq_ignore_ascii_case("function")
             };
@@ -353,7 +359,7 @@ impl<'a> MacroAnalysis<'a> {
                 let prev_kw_is = |name: &str| {
                     matches!(
                         prev_kw,
-                        Some(p) if matches!(p.kind, SpanKind::Keyword)
+                        Some(p) if matches!(p.kind, SpanKind::Keyword(_))
                             && kw_text(p).eq_ignore_ascii_case(name)
                     )
                 };
@@ -365,14 +371,14 @@ impl<'a> MacroAnalysis<'a> {
                 if prev_kw_is("end") || prev_kw_is("exit") {
                     if let Some(start) = open.take() {
                         if prev_kw_is("end") {
-                            out.push((start, toks[i].end));
+                            out.push((start, toks[i].end as usize));
                         } else {
                             // `Exit Sub` keeps the procedure open.
                             open = Some(start);
                         }
                     }
                 } else if open.is_none() {
-                    open = Some(toks[i].start);
+                    open = Some(toks[i].start as usize);
                 }
             }
             i += 1;

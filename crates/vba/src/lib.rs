@@ -19,12 +19,14 @@
 
 pub mod analysis;
 pub mod functions;
+mod intern;
 mod lexer;
 mod stats;
 mod token;
 
 pub use analysis::{LexScratch, MacroAnalysis};
 pub use functions::FunctionCategory;
+pub use intern::{BuiltinId, KeywordId, Op};
 #[cfg(any(test, feature = "reference"))]
 pub use lexer::reference_tokenize;
 pub use lexer::tokenize;

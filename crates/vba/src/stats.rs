@@ -1,11 +1,18 @@
-//! Per-character statistics accumulated during the lexer's single pass.
+//! Character statistics gathered during the lexer's pass.
 //!
 //! The feature extractors (J1–J20, V1–V15) historically re-walked the
 //! source once per feature: `chars().count()` for J1, a whitespace filter
 //! for J6, a `BTreeMap` rebuild for the entropy of J15/V13, a
 //! `collect::<Vec<String>>` for the word statistics of V3/V4, and so on.
-//! [`SourceStats`] replaces all of those with counters fed exactly once
-//! per character while the lexer is already looking at it.
+//! [`SourceStats`] replaces all of those:
+//!
+//! - one byte histogram gives the char count, whitespace, backslashes and
+//!   the entropy counts (a cold pass fixes it up when the source has
+//!   non-ASCII chars);
+//! - the lexer reports each code word (a run of word characters outside
+//!   comments and strings) as it passes it, and hands over each comment
+//!   body, whose words a table-driven scanner counts;
+//! - the lexer itself counts lines, string and comment characters.
 //!
 //! Equivalence with the old multi-pass computation is bit-level: every
 //! floating-point quantity that the extractors derive from these counters
@@ -14,65 +21,7 @@
 //! ascending character order for the entropy histogram), so the fused
 //! path reproduces the exact `f64` bit patterns of the original.
 
-use std::collections::BTreeMap;
-
-/// In-flight state of one "word": a maximal run of alphanumeric or `_`
-/// characters outside comments and string literals (paper §IV.C.4), plus
-/// the incremental human-readability predicate of J5 (alphabetic, 2–15
-/// bytes, contains a vowel, no consonant run longer than 4).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct WordRun {
-    active: bool,
-    char_len: usize,
-    byte_len: usize,
-    all_alpha: bool,
-    has_vowel: bool,
-    cons_run: usize,
-    runs_ok: bool,
-}
-
-impl WordRun {
-    #[inline]
-    fn feed(&mut self, c: char) {
-        if !self.active {
-            *self = WordRun {
-                active: true,
-                all_alpha: true,
-                runs_ok: true,
-                ..WordRun::default()
-            };
-        }
-        self.char_len += 1;
-        self.byte_len += c.len_utf8();
-        if c.is_ascii_alphabetic() {
-            if matches!(c.to_ascii_lowercase(), 'a' | 'e' | 'i' | 'o' | 'u') {
-                self.has_vowel = true;
-                self.cons_run = 0;
-            } else {
-                self.cons_run += 1;
-                if self.cons_run > 4 {
-                    self.runs_ok = false;
-                }
-            }
-        } else {
-            self.all_alpha = false;
-        }
-    }
-
-    #[inline]
-    fn is_readable(&self) -> bool {
-        self.byte_len >= 2
-            && self.byte_len <= 15
-            && self.all_alpha
-            && self.has_vowel
-            && self.runs_ok
-    }
-}
-
-#[inline]
-fn is_word_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
+use crate::lexer::{class_at, ALPHA, CLASS, SPACE, VOWEL, WORD};
 
 /// Character-level statistics of one macro source, filled by the lexer in
 /// the same pass that produces the token stream.
@@ -111,17 +60,12 @@ pub struct SourceStats {
     /// Total full comment-span characters, marker included (V1).
     pub comment_span_chars: usize,
 
-    // Entropy histogram: dense ASCII lane plus an ordered map for the
-    // (rare) rest. Iterating ASCII ascending then the map ascending
-    // reproduces the old full-`BTreeMap` term order exactly.
-    ascii_counts: [u64; 128],
-    other_counts: BTreeMap<char, u64>,
-
-    // Lexer-pass machines (meaningless after `finish`).
-    code_run: WordRun,
-    comment_run: WordRun,
-    cur_line_chars: usize,
-    last_was_cr: bool,
+    // Entropy histogram: counts of U+0000–U+00FF by char value, plus the
+    // (rare) chars at or above U+0100, sorted. Iterating the histogram
+    // ascending then the sorted runs reproduces the old full-`BTreeMap`
+    // term order exactly.
+    hist: [u64; 256],
+    wide: Vec<char>,
 }
 
 impl Default for SourceStats {
@@ -140,139 +84,153 @@ impl Default for SourceStats {
             string_chars: 0,
             comment_body_chars: 0,
             comment_span_chars: 0,
-            ascii_counts: [0; 128],
-            other_counts: BTreeMap::new(),
-            code_run: WordRun::default(),
-            comment_run: WordRun::default(),
-            cur_line_chars: 0,
-            last_was_cr: false,
+            hist: [0; 256],
+            wide: Vec::new(),
         }
     }
 }
 
+/// J5's human-readability predicate on one word's bytes: alphabetic,
+/// 2–15 bytes, contains a vowel, no consonant run longer than 4. Bytes
+/// ≥ 0x80 are not ASCII letters, so a non-ASCII word is never readable.
+fn is_readable(word: &[u8]) -> bool {
+    if !(2..=15).contains(&word.len()) {
+        return false;
+    }
+    // Branch-free over the word: AND of the letter bits, OR of the vowel
+    // bits, and the longest consonant run.
+    let (mut alpha, mut vowel, mut run, mut longest) = (ALPHA, 0, 0u32, 0u32);
+    for &b in word {
+        let class = CLASS[b as usize];
+        alpha &= class;
+        vowel |= class & VOWEL;
+        run = if class & VOWEL != 0 { 0 } else { run + 1 };
+        longest = longest.max(run);
+    }
+    alpha != 0 && vowel != 0 && longest <= 4
+}
+
+/// Calls `f(word, char_len)` for each maximal run of word characters in
+/// `text`, in order. ASCII bytes are classified by the table; a lead byte
+/// ≥ 0x80 decodes one char.
+#[inline]
+fn for_each_word(text: &str, mut f: impl FnMut(&[u8], usize)) {
+    let b = text.as_bytes();
+    let n = b.len();
+    let mut i = 0;
+    while i < n {
+        let (class, len) = if b[i] < 0x80 {
+            (CLASS[b[i] as usize], 1)
+        } else {
+            class_at(text, i)
+        };
+        if class & WORD == 0 {
+            i += len;
+            continue;
+        }
+        let start = i;
+        let mut chars = 0;
+        while i < n {
+            if b[i] < 0x80 {
+                if CLASS[b[i] as usize] & WORD == 0 {
+                    break;
+                }
+                i += 1;
+            } else {
+                let (class, len) = class_at(text, i);
+                if class & WORD == 0 {
+                    break;
+                }
+                i += len;
+            }
+            chars += 1;
+        }
+        f(&b[start..i], chars);
+    }
+}
+
 impl SourceStats {
-    /// Clears all counters while keeping `word_lengths` capacity.
+    /// Clears all counters while keeping buffer capacity.
     pub(crate) fn reset(&mut self) {
         let mut word_lengths = std::mem::take(&mut self.word_lengths);
         word_lengths.clear();
+        let mut wide = std::mem::take(&mut self.wide);
+        wide.clear();
         *self = SourceStats {
             word_lengths,
+            wide,
             ..SourceStats::default()
         };
     }
 
-    /// One call per source character, in order. `masked` is true inside
-    /// comment and string-literal token spans (marker/quotes included),
-    /// mirroring the span mask the old `words()` view applied.
-    #[inline]
-    pub(crate) fn visit(&mut self, c: char, masked: bool) {
-        self.char_len += 1;
-        if c.is_whitespace() {
-            self.whitespace += 1;
+    /// Fills the char histogram and the counts derived from it
+    /// (`char_len`, `whitespace`, `backslashes`). Returns whether the
+    /// source is all ASCII, in which case byte and char offsets agree.
+    pub(crate) fn count_chars(&mut self, source: &str) -> bool {
+        let bytes = source.as_bytes();
+        // Four interleaved lanes keep repeated bytes (indentation) from
+        // serializing on one counter. Sources are under 4 GiB, so no lane
+        // overflows.
+        let mut lanes = [[0u32; 256]; 4];
+        let mut quads = bytes.chunks_exact(4);
+        for q in &mut quads {
+            lanes[0][q[0] as usize] += 1;
+            lanes[1][q[1] as usize] += 1;
+            lanes[2][q[2] as usize] += 1;
+            lanes[3][q[3] as usize] += 1;
         }
-        if c == '\\' {
-            self.backslashes += 1;
+        for &b in quads.remainder() {
+            lanes[0][b as usize] += 1;
         }
-        let u = c as u32;
-        if u < 128 {
-            self.ascii_counts[u as usize] += 1;
-        } else {
-            *self.other_counts.entry(c).or_insert(0) += 1;
+        for (c, n) in self.hist.iter_mut().enumerate() {
+            *n = lanes.iter().map(|lane| lane[c] as u64).sum();
         }
-        // Line machine: `str::lines` counts a line per '\n' (stripping one
-        // '\r' before it) plus a final unterminated line if non-empty.
-        if c == '\n' {
-            let len = self.cur_line_chars - usize::from(self.last_was_cr);
-            if len > 150 {
-                self.long_lines += 1;
+        let ascii = self.hist[0x80..].iter().all(|&n| n == 0);
+        if !ascii {
+            // Cold path: re-count the non-ASCII part by char.
+            self.hist[0x80..].fill(0);
+            for c in source.chars().filter(|c| !c.is_ascii()) {
+                match u8::try_from(c) {
+                    Ok(b) => self.hist[b as usize] += 1,
+                    Err(_) => self.wide.push(c),
+                }
             }
-            self.line_count += 1;
-            self.cur_line_chars = 0;
-        } else {
-            self.cur_line_chars += 1;
+            self.wide.sort_unstable();
         }
-        self.last_was_cr = c == '\r';
-        // Code-word machine.
-        if masked || !is_word_char(c) {
-            self.flush_code_word();
-        } else {
-            self.code_run.feed(c);
-        }
+        self.char_len = self.hist.iter().sum::<u64>() as usize + self.wide.len();
+        self.whitespace = (CLASS.iter().zip(&self.hist))
+            .filter(|(&class, _)| class & SPACE != 0)
+            .map(|(_, &n)| n as usize)
+            .sum::<usize>()
+            + self.wide.iter().filter(|c| c.is_whitespace()).count();
+        self.backslashes = self.hist[b'\\' as usize] as usize;
+        ascii
     }
 
-    /// Additionally routes a comment-body character through the
-    /// comment-word machine (call after `visit(c, true)`).
-    #[inline]
-    pub(crate) fn visit_comment_word(&mut self, c: char) {
-        if is_word_char(c) {
-            self.comment_run.feed(c);
-        } else {
-            self.flush_comment_word();
-        }
+    /// Counts one code word (outside comments and strings) of `chars`
+    /// characters; the lexer reports them in document order.
+    pub(crate) fn code_word(&mut self, word: &[u8], chars: usize) {
+        self.code_words += 1;
+        self.word_lengths.push(chars as f64);
+        self.readable_words += usize::from(is_readable(word));
     }
 
-    /// Ends the current comment-body word run. The lexer calls this at
-    /// every comment terminator so a run can never merge with the first
-    /// word of the *next* comment (e.g. `'t` directly followed on the
-    /// next line by `'rai` is two words, not `trai`).
-    #[inline]
-    pub(crate) fn end_comment_word(&mut self) {
-        self.flush_comment_word();
-    }
-
-    /// Word-machine snapshot taken before scanning an identifier, so a
-    /// `Rem` comment can rewind the characters it fed speculatively.
-    #[inline]
-    pub(crate) fn word_snapshot(&self) -> WordRun {
-        self.code_run
-    }
-
-    #[inline]
-    pub(crate) fn word_rewind(&mut self, snap: WordRun) {
-        self.code_run = snap;
-    }
-
-    fn flush_code_word(&mut self) {
-        if self.code_run.active {
-            self.code_words += 1;
-            self.word_lengths.push(self.code_run.char_len as f64);
-            if self.code_run.is_readable() {
-                self.readable_words += 1;
-            }
-            self.code_run.active = false;
-        }
-    }
-
-    fn flush_comment_word(&mut self) {
-        if self.comment_run.active {
+    /// Counts the words of one comment body.
+    pub(crate) fn scan_comment_words(&mut self, text: &str) {
+        for_each_word(text, |word, _| {
             self.comment_words += 1;
-            if self.comment_run.is_readable() {
-                self.readable_words += 1;
-            }
-            self.comment_run.active = false;
-        }
-    }
-
-    /// Flushes open word runs and the final unterminated line.
-    pub(crate) fn finish(&mut self) {
-        self.flush_code_word();
-        self.flush_comment_word();
-        if self.cur_line_chars > 0 {
-            self.line_count += 1;
-            if self.cur_line_chars > 150 {
-                self.long_lines += 1;
-            }
-        }
+            self.readable_words += usize::from(is_readable(word));
+        });
     }
 
     /// Non-zero character counts in ascending character order — the exact
     /// term sequence the old `BTreeMap<char, u64>` entropy sum iterated.
     pub fn char_counts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ascii_counts
-            .iter()
-            .copied()
-            .filter(|&n| n > 0)
-            .chain(self.other_counts.values().copied())
+        self.hist.iter().copied().filter(|&n| n > 0).chain(
+            self.wide
+                .chunk_by(|a, b| a == b)
+                .map(|run| run.len() as u64),
+        )
     }
 }
 
@@ -281,15 +239,7 @@ mod tests {
     use super::*;
 
     fn run(source: &str) -> SourceStats {
-        // Feed every char unmasked: enough to exercise the char-level
-        // machines (word/line equivalence under masking is covered by the
-        // lexer and analysis tests).
-        let mut s = SourceStats::default();
-        for c in source.chars() {
-            s.visit(c, false);
-        }
-        s.finish();
-        s
+        crate::MacroAnalysis::new(source).stats().clone()
     }
 
     #[test]
@@ -303,7 +253,9 @@ mod tests {
 
     #[test]
     fn lines_match_str_lines_semantics() {
-        for src in ["", "a", "a\n", "a\nb", "\n", "a\r\nb\r", "x\n\r"] {
+        for src in [
+            "", "a", "a\n", "a\nb", "\n", "a\r\nb\r", "x\n\r", "a _\r\nb",
+        ] {
             let s = run(src);
             assert_eq!(s.line_count, src.lines().count(), "{src:?}");
         }
@@ -319,10 +271,49 @@ mod tests {
 
     #[test]
     fn entropy_counts_ascending() {
-        let s = run("ba\u{2603}ab");
+        let s = run("ba\u{2603}ab\u{e9}\u{2603}");
         let counts: Vec<u64> = s.char_counts().collect();
-        // 'a' x2, 'b' x2, snowman x1 — ascending char order.
-        assert_eq!(counts, vec![2, 2, 1]);
+        // 'a' x2, 'b' x2, e-acute x1, snowman x2 — ascending char order.
+        assert_eq!(counts, vec![2, 2, 1, 2]);
+        assert_eq!(s.char_len, 7);
+    }
+
+    #[test]
+    fn histogram_counts_match_char_filters() {
+        for src in [
+            "",
+            "a\\b c\t\r\n",
+            "\u{a0}\u{85}\u{3000}x\u{2028}\\\u{e9}",
+            &"ab  \\".repeat(37),
+        ] {
+            let mut s = SourceStats::default();
+            let ascii = s.count_chars(src);
+            assert_eq!(ascii, src.is_ascii(), "{src:?}");
+            assert_eq!(s.char_len, src.chars().count(), "{src:?}");
+            assert_eq!(
+                s.whitespace,
+                src.chars().filter(|c| c.is_whitespace()).count(),
+                "{src:?}"
+            );
+            assert_eq!(s.backslashes, src.matches('\\').count(), "{src:?}");
+        }
+    }
+
+    #[test]
+    fn word_scan_matches_split() {
+        for text in ["", "a b_c 12x", "caf\u{e9}\u{2603}\u{b2}x y", "__ ,, z"] {
+            let mut words = Vec::new();
+            for_each_word(text, |w, chars| words.push((w.to_vec(), chars)));
+            let expect: Vec<(Vec<u8>, usize)> = text
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .map(|w| (w.as_bytes().to_vec(), w.chars().count()))
+                .collect();
+            assert_eq!(words, expect, "{text:?}");
+            // Code words come from the lexer; the same text as code.
+            let lengths: Vec<f64> = expect.iter().map(|&(_, n)| n as f64).collect();
+            assert_eq!(run(text).word_lengths, lengths, "{text:?}");
+        }
     }
 
     #[test]
@@ -363,11 +354,7 @@ mod tests {
             "_x",
             "strength",
         ] {
-            let mut r = WordRun::default();
-            for c in w.chars() {
-                r.feed(c);
-            }
-            assert_eq!(r.is_readable(), reference(w), "{w:?}");
+            assert_eq!(is_readable(w.as_bytes()), reference(w), "{w:?}");
         }
     }
 }

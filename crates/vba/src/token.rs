@@ -1,5 +1,7 @@
 //! Token types produced by the lexer.
 
+use crate::intern::{BuiltinId, KeywordId, Op};
+
 /// Kind and payload of a lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
@@ -50,12 +52,16 @@ impl Token {
 /// source slice at its span, so no owned `String` is materialized.
 /// String-literal values and trimmed comment bodies (the two cases where
 /// the payload is not the exact span) live in side tables indexed here.
+/// Keywords, identifiers and operators carry the id the lexer interned
+/// them to, so token passes compare integers, not text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
-    /// An identifier; the span includes any absorbed type suffix.
-    Identifier,
+    /// An identifier; the span includes any absorbed type suffix. Carries
+    /// the built-in function it names, if any ([`BuiltinId::NONE`]
+    /// otherwise).
+    Identifier(BuiltinId),
     /// A reserved word, exactly as written in the span.
-    Keyword,
+    Keyword(KeywordId),
     /// A numeric literal, exactly as written in the span.
     Number,
     /// A string literal; payload index into the analysis string table.
@@ -63,7 +69,7 @@ pub enum SpanKind {
     /// A comment; payload index into the analysis comment table.
     Comment(u32),
     /// An operator or punctuation mark.
-    Operator(&'static str),
+    Operator(Op),
     /// A physical end of line (continuations are spliced).
     Newline,
 }
@@ -71,23 +77,41 @@ pub enum SpanKind {
 /// One span token: kind tag plus byte *and* character positions, so
 /// consumers can count characters of any token-bounded region (procedure
 /// bodies, identifiers, comment spans) without re-walking the source.
+/// Offsets are `u32` (sources are under 4 GiB), which keeps a token at
+/// 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanToken {
     /// What was recognized.
     pub kind: SpanKind,
     /// Byte offset of the first byte of the token.
-    pub start: usize,
+    pub start: u32,
     /// Byte offset one past the last byte.
-    pub end: usize,
+    pub end: u32,
     /// Character offset of the first character.
-    pub char_start: usize,
+    pub char_start: u32,
     /// Character offset one past the last character.
-    pub char_end: usize,
+    pub char_end: u32,
 }
 
 impl SpanToken {
     /// The token's source length in characters.
     pub fn char_len(&self) -> usize {
-        self.char_end - self.char_start
+        (self.char_end - self.char_start) as usize
+    }
+
+    /// The token's byte range in the source.
+    pub fn span(&self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn span_token_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<SpanToken>() <= 24);
+        assert_eq!(std::mem::size_of::<SpanKind>(), 8);
     }
 }

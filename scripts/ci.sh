@@ -40,7 +40,7 @@ OVERALL=ok
 # Every stage the pipeline knows, in run order — the --stage validator
 # and the skip logic both key off this list.
 KNOWN_STAGES="fmt build build-faultpoints test test-faultpoints test-determinism \
-cache isolation serve serve-soak reload-soak clippy clippy-faultpoints \
+perfbench cache isolation serve serve-soak reload-soak clippy clippy-faultpoints \
 bench bench-features bench-cache bench-reload gates"
 
 GATE_TEST=0
@@ -121,6 +121,15 @@ stage() {
 determinism_tests() {
     cargo test -q --offline --test parallel_scan --test metrics &&
         cargo test -q --offline --features faultpoints --test parallel_scan --test fault_injection
+}
+
+# The benchmark's own helper crate and harness (perfbench/, built as a
+# workspace of its own against crates/* by path): its unit tests and the
+# Python harness self-tests. Run here so an API change that breaks the
+# benchmark fails CI, not the benchmark run.
+perfbench_tests() {
+    cargo test -q --offline --manifest-path perfbench/Cargo.toml &&
+        python3 perfbench/test_run.py
 }
 
 # The resident-service suites: protocol/breaker/drain unit coverage, then
@@ -410,6 +419,7 @@ stage build-faultpoints cargo build --offline --features faultpoints
 stage test cargo test -q --offline --workspace
 stage test-faultpoints cargo test -q --offline --features faultpoints
 stage test-determinism determinism_tests
+stage perfbench perfbench_tests
 stage cache cache_tests
 stage isolation isolation_tests
 stage serve serve_tests

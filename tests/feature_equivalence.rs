@@ -110,6 +110,38 @@ fn fused_extractors_match_reference_on_hostile_mutants() {
     }
 }
 
+/// The byte-class lexer classifies U+0000–U+00FF by table and everything
+/// above by the `char` predicates. Every char of the table, plus a few
+/// above it, in every lexer context: alone, inside an identifier, a `'`
+/// comment, a string, a `Rem` comment, and before a line continuation.
+/// The set includes chars where the lexer's and the statistics' classes
+/// disagree (U+0085 and U+00A0 are whitespace and identifier
+/// characters; U+00AA, U+00B2, U+00B5 are word characters; U+00D7 and
+/// U+00F7 are not; `\x0B` and `\x0C` are whitespace but not blanks).
+#[test]
+fn fused_extractors_match_reference_on_every_latin1_char() {
+    let above = [
+        '\u{100}', '\u{1680}', '\u{2028}', '\u{3000}', '\u{feff}', '\u{fffd}',
+    ];
+    let chars = (0u32..=0xFF).filter_map(char::from_u32).chain(above);
+    let mut scratch = FeatureScratch::default();
+    let mut checked = 0;
+    for c in chars {
+        for src in [
+            format!("{c}"),
+            format!("a{c}b"),
+            format!("'x{c}y"),
+            format!("\"{c}\""),
+            format!("Rem {c}"),
+            format!("x {c}_\r\n1"),
+        ] {
+            assert_bit_identical(&src, &mut scratch);
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 262 * 6);
+}
+
 #[test]
 fn fused_extractors_match_reference_on_the_corpus() {
     let spec = vbadet_corpus::CorpusSpec::paper().scaled(0.05);

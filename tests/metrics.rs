@@ -197,8 +197,9 @@ fn pipeline_counters_cover_every_stage_the_corpus_exercises() {
     assert_eq!(m.counter("scan.doc_ns"), 0);
     assert!(m.stage_total_ns("scan.doc_ns") > 0);
     assert!(m.stage_total_ns("ole.parse_ns") > 0);
-    // The scoring hot path reports its two stages separately.
-    assert!(m.stage_total_ns("scan.features_ns") > 0);
+    // The scoring hot path reports its three stages separately.
+    assert!(m.stage_total_ns("vba.lex_ns") > 0);
+    assert!(m.stage_total_ns("features.pass_ns") > 0);
     assert!(m.stage_total_ns("scan.predict_ns") > 0);
 
     let _ = std::fs::remove_dir_all(&dir);
